@@ -52,8 +52,8 @@
 /// byte-identical to the cold reference (timing and cache-state counters
 /// normalized), and across the suite the warm-edit pass must reach Z3 at
 /// least 10x less often than cold (`smt_solves`). Writes the aggregate —
-/// wall times, solve counts, constraint-cache hit rate, fingerprint and
-/// pair-verdict reuse — to the given file (BENCH_incremental.json in CI).
+/// wall times, solve counts, fingerprint and pair-verdict reuse — to the
+/// given file (BENCH_incremental.json in CI).
 ///
 /// `--fleet <file>` is the serving tier's load generator and soak harness:
 /// it spawns a real c4-serve process on a loopback TCP port and drives the
@@ -423,8 +423,8 @@ std::string stripIncrementalValues(const std::string &Blob) {
       "sat_cache_misses",    "sat_assist_proven",
       "cond_cache_hits",     "cond_cache_misses",
       "txn_fingerprint_hits", "pair_verdicts_reused",
-      "constraint_cache_hits", "constraint_cache_misses",
-      "solver_ctx_reuses",   "v.ce",
+      "solver_ctx_reuses",   "speculative_discarded",
+      "v.ce",
   };
   std::string Out;
   size_t Pos = 0;
@@ -457,7 +457,7 @@ struct IncrRow {
   const char *Name;
   double ColdSeconds, WarmSeconds;
   unsigned ColdSolves, WarmSolves;
-  uint64_t TxnHits, PairReused, GreenHits, GreenMisses, CtxReuses;
+  uint64_t TxnHits, PairReused, CtxReuses;
   bool Identical;
 };
 
@@ -528,8 +528,7 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
   unsigned Projects = 0, Failures = 0, Mismatches = 0, EditFailures = 0;
   double ColdSeconds = 0, WarmSeconds = 0;
   uint64_t ColdSolves = 0, WarmSolves = 0;
-  uint64_t TxnHits = 0, PairReused = 0, GreenHits = 0, GreenMisses = 0,
-           CtxReuses = 0;
+  uint64_t TxnHits = 0, PairReused = 0, CtxReuses = 0;
   std::vector<IncrRow> Rows;
 
   // Each app gets its own cache subdirectory: incremental re-analysis is
@@ -623,9 +622,6 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
                   WS,
                   Warm.RU.TxnFingerprintHits + Warm.RF.TxnFingerprintHits,
                   Warm.RU.PairVerdictsReused + Warm.RF.PairVerdictsReused,
-                  Warm.RU.ConstraintCacheHits + Warm.RF.ConstraintCacheHits,
-                  Warm.RU.ConstraintCacheMisses +
-                      Warm.RF.ConstraintCacheMisses,
                   Warm.RU.SolverCtxReuses + Warm.RF.SolverCtxReuses,
                   Identical};
       ColdSeconds += Cold.Seconds;
@@ -634,8 +630,6 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
       WarmSolves += WS;
       TxnHits += Row.TxnHits;
       PairReused += Row.PairReused;
-      GreenHits += Row.GreenHits;
-      GreenMisses += Row.GreenMisses;
       CtxReuses += Row.CtxReuses;
       Rows.push_back(Row);
     }
@@ -669,19 +663,12 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
     std::fprintf(stderr, "error: cannot write %s\n", OutPath);
     return 1;
   }
-  double GreenRate = GreenHits + GreenMisses
-                         ? static_cast<double>(GreenHits) /
-                               static_cast<double>(GreenHits + GreenMisses)
-                         : 0.0;
   std::fprintf(
       F,
       "{\n  \"projects\": %u,\n  \"cold_seconds\": %.3f,\n"
       "  \"warm_edit_seconds\": %.3f,\n  \"cold_smt_solves\": %llu,\n"
       "  \"warm_edit_smt_solves\": %llu,\n  \"query_ratio\": %.1f,\n"
       "  \"txn_fingerprint_hits\": %llu,\n  \"pair_verdicts_reused\": %llu,\n"
-      "  \"constraint_cache_hits\": %llu,\n"
-      "  \"constraint_cache_misses\": %llu,\n"
-      "  \"constraint_cache_hit_rate\": %.3f,\n"
       "  \"solver_ctx_reuses\": %llu,\n"
       "  \"verdict_mismatches\": %u,\n  \"edit_failures\": %u,\n"
       "  \"apps\": [\n",
@@ -690,8 +677,6 @@ int runIncremental(const char *OutPath, bool Quick, bool NoPasses) {
       static_cast<unsigned long long>(WarmSolves), QueryRatio,
       static_cast<unsigned long long>(TxnHits),
       static_cast<unsigned long long>(PairReused),
-      static_cast<unsigned long long>(GreenHits),
-      static_cast<unsigned long long>(GreenMisses), GreenRate,
       static_cast<unsigned long long>(CtxReuses), Mismatches, EditFailures);
   for (size_t I = 0; I != Rows.size(); ++I) {
     const IncrRow &Row = Rows[I];

@@ -8,12 +8,12 @@
 
 #include "abstract/Concretize.h"
 #include "analysis/Incremental.h"
+#include "analysis/Scheduler.h"
 #include "domain/AbstractDomain.h"
 #include "domain/Prefilter.h"
 #include "smt/CondSmt.h"
 #include "spec/CommutativityCache.h"
 #include "support/Format.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <atomic>
@@ -21,11 +21,8 @@
 #include <chrono>
 #include <cstdlib>
 #include <functional>
-#include <future>
 #include <memory>
 #include <mutex>
-#include <set>
-#include <thread>
 
 using namespace c4;
 
@@ -47,20 +44,51 @@ private:
   std::chrono::steady_clock::time_point Start;
 };
 
+/// Solver resources shared by every Run of one analyze() call: the
+/// bounded-check scheduler (helper threads and their Z3 environments), the
+/// committing thread's environment and the witness environment.
+struct Solvers {
+  Solvers(const AnalyzerOptions &O, const Deadline *DL)
+      : Sched(O.NumThreads, DL), Reuse(O.ReuseEnv) {}
+
+  /// The env of every committing-thread query (inline solves, generalization
+  /// chunks), reset per query: a context costs more than most solves. With
+  /// helpers it is the first helper's, idle between rounds. Built lazily.
+  Z3Env &seqEnv() {
+    if (Z3Env *Helper = Sched.idleHelperEnv())
+      return *Helper;
+    if (Reuse)
+      return *Reuse;
+    if (!Own)
+      Own = std::make_unique<Z3Env>();
+    return *Own;
+  }
+
+  /// The env committed witnesses are extracted on, dropped after each round
+  /// (endRound): its history is that round's commit order at every thread
+  /// count, so witness text does not depend on who solved the unit first.
+  Z3Env &witnessEnv() { return Witness.get(); }
+  void endRound() { Witness = Z3EnvSlot(); }
+
+  SpecScheduler Sched;
+  Z3Env *Reuse;
+  std::unique_ptr<Z3Env> Own;
+  Z3EnvSlot Witness;
+};
+
 /// Shared state of one analysis run (one event mask).
 class Run {
 public:
   Run(const AbstractHistory &Hist, const AnalyzerOptions &Opts,
       std::vector<bool> EventMask, CommutativityOracle *CondOracle,
-      const SatAssist *SatAsst, const Deadline *Dl)
+      const SatAssist *SatAsst, const Deadline *Dl, Solvers &Slv)
       : A(Hist), O(Opts), Mask(std::move(EventMask)), Oracle(CondOracle),
-        Assist(SatAsst), DL(Dl) {
-    // The incremental layers are disabled in prefilter-check mode: check
+        Assist(SatAsst), DL(Dl), Solv(Slv) {
+    // The incremental layer is disabled in prefilter-check mode: check
     // mode exists to actually run Z3 against domain proofs, and a replayed
     // verdict would mask the disagreement it is hunting for.
-    IncrOn = O.UseIncremental && !O.CheckPrefilter &&
-             (O.Incremental || O.Green);
-    if (IncrOn && O.Incremental) {
+    IncrOn = O.UseIncremental && !O.CheckPrefilter && O.Incremental;
+    if (IncrOn) {
       StageTimer Timer(IncrSec);
       IncrCtx = incrementalContextDigest(A, O, Mask);
     }
@@ -69,18 +97,18 @@ public:
   void execute(AnalysisResult &R);
 
 private:
-  bool subsumed(const Unfolding &U, const std::vector<Violation> &V) const;
+  /// True when a violation of \p V is contained in the sorted set \p Set.
+  static bool subsumes(const std::vector<Violation> &V,
+                       const std::vector<unsigned> &Set);
   /// Runs one bounded round; returns false when the analysis deadline
   /// expired before every unfolding of the round was conclusively handled
   /// (the remainder is counted in AnalysisResult::UnfoldingsDeferred and
   /// the round must not count towards KChecked).
   bool checkBounded(unsigned K, AnalysisResult &R,
                     const std::vector<unsigned> &Universe);
-  /// One worker unit of the bounded check: SSG + candidate cycles + SMT for
-  /// a single unfolding. Pure apart from the shared oracle (thread-safe).
+  /// One unit of the bounded check: SSG + candidate cycles + SMT for a
+  /// single unfolding. Pure apart from the shared oracle (thread-safe).
   struct UnfoldingOutcome {
-    bool PrunedEarly = false; ///< subsumed at task start; result not needed
-    bool Cancelled = false;   ///< deadline expired before the solve started
     bool CandTruncated = false;
     bool Flagged = false; ///< the instantiated SSG admitted candidates
     bool Prefiltered = false; ///< every candidate killed by the domain; the
@@ -90,25 +118,42 @@ private:
     bool Reused = false; ///< replayed from a persisted incremental record;
                          ///< prefilter and solve were both skipped
     UnfoldingResult Res;
+    std::vector<unsigned> CycleKey; ///< sorted txn set of a found cycle
     SolveTelemetry Tel;
     bool CEValid = false;
     double SSGSec = 0, SmtSec = 0, PrefilterSec = 0, IncrSec = 0;
   };
-  UnfoldingOutcome solveOne(const Unfolding &U,
-                            const std::vector<Violation> *Committed,
-                            std::mutex *CommitMu, Z3Env *Env);
-  /// Applies one outcome to \p R exactly as the sequential loop would,
-  /// re-checking subsumption against the violations committed so far.
-  /// \p K / \p Index identify the query for the trace (commit order).
-  void commitOutcome(const Unfolding &U, UnfoldingOutcome &&Out,
-                     AnalysisResult &R, unsigned K, long Index);
-  unsigned effectiveThreads(size_t Work) const;
+  /// Solves one unit, polling \p Gate and the deadline before each
+  /// expensive stage; nullopt when either cut it short. Stage seconds are
+  /// folded into the run's totals either way (worker time, summed).
+  std::optional<UnfoldingOutcome> solveOne(const Unfolding &U,
+                                           SpecGate &Gate);
+  bool solveStages(const Unfolding &U, SpecGate &Gate,
+                   UnfoldingOutcome &Out);
+  /// Commit-order witness for a found cycle (see Solvers::witnessEnv),
+  /// validated end to end.
+  void canonicalWitness(const Unfolding &U, UnfoldingOutcome &Out);
+  /// Applies one outcome to \p R in enumeration order; the scheduler has
+  /// already ruled out subsumption. \p K / \p Index identify the query for
+  /// the trace. Returns the key of a newly recorded violation, if any.
+  const std::vector<unsigned> *commitOutcome(const Unfolding &U,
+                                             UnfoldingOutcome &&Out,
+                                             AnalysisResult &R, unsigned K,
+                                             long Index);
   bool generalizes(unsigned K, const AnalysisResult &R,
                    const std::vector<unsigned> &Universe);
   std::vector<struct MergeCtx>
   buildMerges(const Unfolding &U,
               const std::vector<std::vector<bool>> &SoClosure);
   std::vector<bool> maskForUnfolding(const Unfolding &U) const;
+  /// Analyzes the instantiated SSG \p G of \p U under this run's oracle,
+  /// assist and event mask.
+  void instantiate(const Unfolding &U, SSG &G) const {
+    G.setOracle(Oracle);
+    G.setSatAssist(Assist);
+    G.setEventMask(maskForUnfolding(U));
+    G.analyze();
+  }
   /// Returns true if a new violation was recorded (false on duplicates).
   bool recordViolation(AnalysisResult &R, std::vector<unsigned> OrigTxns,
                        std::optional<CounterExample> CE, bool Inconclusive);
@@ -172,38 +217,28 @@ private:
   unsigned SmtSolvesGen = 0;
   uint64_t SolverCtxReusesGen = 0;
   double IncrSec = 0; ///< digest/key computation + record lookups
+  std::mutex StatsMu;  ///< guards the stage seconds against helper threads
   mutable unsigned DfsExhaustions = 0;
   bool DeadlineHit = false;
-  /// True when the incremental layers (record store / constraint cache)
-  /// participate in this run; see the constructor.
+  /// True when the incremental record store participates in this run; see
+  /// the constructor.
   bool IncrOn = false;
   /// The run-level context digest scoping every record key (empty when the
   /// record store is off).
   std::string IncrCtx;
-  /// The constraint cache to thread into the SMT stage (null when the
-  /// incremental layers are off for this run).
-  ConstraintCache *green() const { return IncrOn ? O.Green : nullptr; }
   std::vector<SSGViolation> Components; // Stage-1 suspicious components
-
-  /// The Z3 environment reused by every main-thread SMT query of this run
-  /// (sequential bounded checks and the generalization chunks). Contexts
-  /// cost ~15ms to create+destroy — more than most solves — so queries
-  /// reset and reuse one env instead. Lazily built: runs refuted by the
-  /// fast stage never pay for a context.
-  Z3Env &seqEnv() {
-    if (O.ReuseEnv)
-      return *O.ReuseEnv;
-    if (!SeqEnv)
-      SeqEnv = std::make_unique<Z3Env>();
-    return *SeqEnv;
-  }
-  std::unique_ptr<Z3Env> SeqEnv;
+  Solvers &Solv;
+  Z3Env &seqEnv() { return Solv.seqEnv(); }
 };
 
-/// Per-thread Z3 environment for parallel workers, lazily built on first
-/// use and dropped when the pool thread exits (pools live for one bounded
-/// round). Z3 contexts must not be shared between threads.
-thread_local std::unique_ptr<Z3Env> WorkerEnv;
+bool Run::subsumes(const std::vector<Violation> &V,
+                   const std::vector<unsigned> &Set) {
+  for (const Violation &Viol : V)
+    if (std::includes(Set.begin(), Set.end(), Viol.OrigTxns.begin(),
+                      Viol.OrigTxns.end()))
+      return true;
+  return false;
+}
 
 bool Run::layoutSubsumed(
     const std::vector<std::vector<unsigned>> &Layout,
@@ -213,11 +248,7 @@ bool Run::layoutSubsumed(
     Set.insert(Set.end(), Session.begin(), Session.end());
   std::sort(Set.begin(), Set.end());
   Set.erase(std::unique(Set.begin(), Set.end()), Set.end());
-  for (const Violation &Viol : V)
-    if (std::includes(Set.begin(), Set.end(), Viol.OrigTxns.begin(),
-                      Viol.OrigTxns.end()))
-      return true;
-  return false;
+  return subsumes(V, Set);
 }
 
 void Run::precomputeGeneralEdges() {
@@ -326,16 +357,6 @@ bool Run::layoutViable(const std::vector<std::vector<unsigned>> &Layout,
   return false;
 }
 
-bool Run::subsumed(const Unfolding &U,
-                   const std::vector<Violation> &V) const {
-  std::vector<unsigned> Set = U.origTxnSet();
-  for (const Violation &Viol : V)
-    if (std::includes(Set.begin(), Set.end(), Viol.OrigTxns.begin(),
-                      Viol.OrigTxns.end()))
-      return true;
-  return false;
-}
-
 std::vector<bool> Run::maskForUnfolding(const Unfolding &U) const {
   std::vector<bool> M(U.H.numEvents(), true);
   for (unsigned E = 0; E != U.H.numEvents(); ++E)
@@ -377,46 +398,38 @@ bool Run::validateCE(const CounterExample &CE) const {
   return buildDSG(CE.H, T).hasCycle();
 }
 
-unsigned Run::effectiveThreads(size_t Work) const {
-  unsigned T = O.NumThreads ? O.NumThreads
-                            : std::max(1u, std::thread::hardware_concurrency());
-  return static_cast<unsigned>(
-      std::min<size_t>(T, std::max<size_t>(Work, 1)));
+std::optional<Run::UnfoldingOutcome> Run::solveOne(const Unfolding &U,
+                                                   SpecGate &Gate) {
+  UnfoldingOutcome Out;
+  bool Complete = solveStages(U, Gate, Out);
+  {
+    std::lock_guard<std::mutex> Lock(StatsMu);
+    SSGSec += Out.SSGSec;
+    SmtSec += Out.SmtSec;
+    PrefilterSec += Out.PrefilterSec;
+    IncrSec += Out.IncrSec;
+  }
+  if (!Complete)
+    return std::nullopt;
+  return Out;
 }
 
-Run::UnfoldingOutcome Run::solveOne(const Unfolding &U,
-                                    const std::vector<Violation> *Committed,
-                                    std::mutex *CommitMu, Z3Env *Env) {
-  UnfoldingOutcome Out;
-  if (DL->expired()) {
-    // Cooperative cancellation: report the unit as cancelled without doing
-    // the work; the commit loop counts it as deferred.
-    Out.Cancelled = true;
-    return Out;
-  }
-  if (Committed) {
-    // Early pruning against the violations committed so far. Safe for
-    // determinism: the committed set only grows, so anything subsumed now
-    // is still subsumed at commit time, where the authoritative (in-order)
-    // re-check happens and the result of this task is not consulted.
-    std::lock_guard<std::mutex> Lock(*CommitMu);
-    if (subsumed(U, *Committed)) {
-      Out.PrunedEarly = true;
-      return Out;
-    }
-  }
+bool Run::solveStages(const Unfolding &U, SpecGate &Gate,
+                      UnfoldingOutcome &Out) {
+  // Cooperative cancellation before each expensive stage: an expired
+  // deadline, or (speculative units only) the unit turned subsumed.
+  auto Stop = [&] { return DL->expired() || Gate.dead(); };
+  if (Stop())
+    return false;
   SSG G(U.H, O.Features, U.SessionTags);
   std::vector<CandidateCycle> Cands;
   {
     StageTimer Timer(Out.SSGSec);
-    G.setOracle(Oracle);
-    G.setSatAssist(Assist);
-    G.setEventMask(maskForUnfolding(U));
-    G.analyze();
+    instantiate(U, G);
     Cands = G.candidateCycles(O.MaxCandidateCycles, Out.CandTruncated);
   }
   if (Cands.empty())
-    return Out;
+    return true;
   Out.Flagged = true;
   // Incremental record lookup, ahead of the prefilter: a persisted NoCycle
   // outcome replays the whole prefilter+solve tail of this unit, counters
@@ -425,7 +438,7 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U,
   // candidate set; the store only ever holds NoCycle outcomes (cycles are
   // re-solved for their counter-example text, unknowns are never frozen).
   std::string RecKey;
-  if (IncrOn && O.Incremental) {
+  if (IncrOn) {
     StageTimer Timer(Out.IncrSec);
     RecKey = unfoldingRecordKey(IncrCtx, U, Cands, "bounded");
     if (const IncrRecord *Rec = O.Incremental->lookup(RecKey)) {
@@ -436,7 +449,7 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U,
       Out.Tel.Attempts = Rec->Attempts;
       Out.Tel.CtxReuses = Rec->CtxReuses;
       Out.Tel.RlimitBudget = Rec->RlimitBudget;
-      return Out;
+      return true;
     }
   }
   if (O.UsePrefilter) {
@@ -445,6 +458,8 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U,
     // to the full solve (the counter-example text must stay byte-identical
     // to a --no-prefilter run, so the SMT stage sees the original
     // candidate list).
+    if (Stop())
+      return false;
     StageTimer Timer(Out.PrefilterSec);
     PrefilterResult PR =
         prefilterCandidates(U, G, Cands, O.Features, Oracle);
@@ -453,6 +468,20 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U,
     else
       Out.PrefilterUnknown = true;
   }
+  // The Z3 solve, bracketed by the gate: a unit that turns subsumed while
+  // it runs is interrupted, and its (possibly cut short) answer dropped.
+  auto Solve = [&](UnfoldingResult &Res) {
+    if (Stop() || !Gate.enterSolve())
+      return false;
+    {
+      StageTimer Timer(Out.SmtSec);
+      SolverPolicy P{O.Budget, DL};
+      Res = solveUnfolding(U, G, Cands, O.Features, P, Oracle, &Gate.env(),
+                           &Out.Tel);
+    }
+    Gate.leaveSolve();
+    return !Gate.dead();
+  };
   if (Out.Prefiltered) {
     Out.Res.Status = UnfoldingResult::NoCycle;
     if (!O.CheckPrefilter) {
@@ -461,56 +490,81 @@ Run::UnfoldingOutcome Run::solveOne(const Unfolding &U,
                                        /*PrefilterUnknown=*/false,
                                        /*Attempts=*/0, /*CtxReuses=*/0,
                                        /*RlimitBudget=*/0});
-      return Out;
+      return true;
     }
     // Debug cross-check: solve anyway. A cycle found by Z3 refutes the
     // domain proof — count the disagreement and trust Z3 (an unknown does
     // not contradict a proof; the domain verdict stands).
     UnfoldingResult Check;
-    {
-      StageTimer Timer(Out.SmtSec);
-      SolverPolicy P{O.Budget, DL};
-      Check = solveUnfolding(U, G, Cands, O.Features, P, Oracle, Env,
-                             &Out.Tel);
-    }
-    if (Check.Status == UnfoldingResult::CycleFound) {
-      Out.PrefilterDisagree = true;
-      Out.Prefiltered = false;
-      Out.Res = std::move(Check);
-      Out.CEValid = validateCE(*Out.Res.CE);
-    }
-    return Out;
+    if (!Solve(Check))
+      return false;
+    if (Check.Status != UnfoldingResult::CycleFound)
+      return true;
+    Out.PrefilterDisagree = true;
+    Out.Prefiltered = false;
+    Out.Res = std::move(Check);
+  } else if (!Solve(Out.Res)) {
+    return false;
   }
-  {
-    StageTimer Timer(Out.SmtSec);
-    SolverPolicy P{O.Budget, DL};
-    Out.Res = solveUnfolding(U, G, Cands, O.Features, P, Oracle, Env,
-                             &Out.Tel, green());
-  }
-  if (Out.Res.Status == UnfoldingResult::CycleFound)
-    Out.CEValid = validateCE(*Out.Res.CE);
-  else if (!RecKey.empty() &&
-           Out.Res.Status == UnfoldingResult::NoCycle && !Out.Tel.Error)
+  if (Out.Res.Status == UnfoldingResult::CycleFound) {
+    // Witness extraction and validation wait for the commit: only a cycle
+    // that is committed pays for them (canonicalWitness).
+    Out.CycleKey = Out.Res.CE->OrigTxns;
+    std::sort(Out.CycleKey.begin(), Out.CycleKey.end());
+    Out.CycleKey.erase(std::unique(Out.CycleKey.begin(), Out.CycleKey.end()),
+                       Out.CycleKey.end());
+  } else if (!RecKey.empty() &&
+             Out.Res.Status == UnfoldingResult::NoCycle && !Out.Tel.Error) {
     O.Incremental->record(RecKey,
                           {/*Prefiltered=*/false, Out.PrefilterUnknown,
                            Out.Tel.Attempts, Out.Tel.CtxReuses,
                            Out.Tel.RlimitBudget});
-  return Out;
+  }
+  return true;
 }
 
-void Run::commitOutcome(const Unfolding &U, UnfoldingOutcome &&Out,
-                        AnalysisResult &R, unsigned K, long Index) {
-  // Authoritative subsumption check, in enumeration order — reproduces the
-  // sequential loop's decision exactly.
-  if (subsumed(U, R.Violations)) {
-    ++R.UnfoldingsSubsumed;
+void Run::canonicalWitness(const Unfolding &U, UnfoldingOutcome &Out) {
+  if (Out.Res.Status != UnfoldingResult::CycleFound)
     return;
+  SSG G(U.H, O.Features, U.SessionTags);
+  std::vector<CandidateCycle> Cands;
+  double SSGTime = 0, SmtTime = 0;
+  {
+    StageTimer Timer(SSGTime);
+    instantiate(U, G);
+    bool CandTruncated = false;
+    Cands = G.candidateCycles(O.MaxCandidateCycles, CandTruncated);
   }
-  assert(!Out.PrunedEarly && "commit set is a superset of the pruning set");
+  // Only the realized (minimal satisfiable) candidate is re-solved, so the
+  // witness shows the same cycle; should the re-solve not confirm it (a
+  // budget edge), the witness in hand stands.
+  UnfoldingResult Res;
+  if (Out.Res.CE->Candidate < Cands.size()) {
+    StageTimer Timer(SmtTime);
+    SolverPolicy P{O.Budget, DL};
+    Res = solveUnfolding(U, G, {Cands[Out.Res.CE->Candidate]}, O.Features, P,
+                         Oracle, &Solv.witnessEnv());
+  }
+  if (Res.Status == UnfoldingResult::CycleFound) {
+    std::vector<unsigned> Key = Res.CE->OrigTxns;
+    std::sort(Key.begin(), Key.end());
+    Key.erase(std::unique(Key.begin(), Key.end()), Key.end());
+    if (Key == Out.CycleKey)
+      Out.Res = std::move(Res);
+  }
+  Out.CEValid = validateCE(*Out.Res.CE);
+  std::lock_guard<std::mutex> Lock(StatsMu);
+  SSGSec += SSGTime;
+  SmtSec += SmtTime;
+}
+
+const std::vector<unsigned> *
+Run::commitOutcome(const Unfolding &U, UnfoldingOutcome &&Out,
+                   AnalysisResult &R, unsigned K, long Index) {
   ++R.UnfoldingsChecked;
   R.Truncated = R.Truncated || Out.CandTruncated;
   if (!Out.Flagged)
-    return;
+    return nullptr;
   ++R.SSGFlagged;
   if (Out.Prefiltered)
     ++R.SmtQueriesPrefiltered; // the NoCycle verdict cost no Z3 query
@@ -531,6 +585,7 @@ void Run::commitOutcome(const Unfolding &U, UnfoldingOutcome &&Out,
     ++R.SmtSolves;
   R.SolverCtxReuses += Out.Tel.CtxReuses;
   const char *Outcome = "unknown";
+  bool Recorded = false;
   switch (Out.Res.Status) {
   case UnfoldingResult::NoCycle:
     ++R.SMTRefuted;
@@ -541,8 +596,8 @@ void Run::commitOutcome(const Unfolding &U, UnfoldingOutcome &&Out,
     Outcome = Out.Tel.Error ? "error" : "unknown";
     // Sound default: report the unfolding's transactions as a potential
     // violation.
-    recordViolation(R, U.origTxnSet(), std::nullopt,
-                    /*Inconclusive=*/true);
+    Recorded = recordViolation(R, U.origTxnSet(), std::nullopt,
+                               /*Inconclusive=*/true);
     break;
   case UnfoldingResult::CycleFound:
     Outcome = "cycle";
@@ -553,27 +608,27 @@ void Run::commitOutcome(const Unfolding &U, UnfoldingOutcome &&Out,
     Rec.Stage = "bounded";
     Rec.K = K;
     Rec.Unfolding = Index;
-    // Prefiltered, reused and constraint-cache-answered queries issued no
-    // solve attempt; for reused records the replayed count matches the
-    // cold run's trace line.
-    Rec.Attempts = Out.Prefiltered || Out.Reused || Out.Tel.GreenHit
+    // Prefiltered and reused queries issued no solve attempt; for reused
+    // records the replayed count matches the cold run's trace line.
+    Rec.Attempts = Out.Prefiltered || Out.Reused
                        ? Out.Tel.Attempts
                        : std::max(1u, Out.Tel.Attempts);
     Rec.RlimitBudget = Out.Tel.RlimitBudget;
     Rec.RlimitSpent = Out.Tel.RlimitSpent;
     Rec.Outcome = Outcome;
     Rec.Prefiltered = Out.Prefiltered;
-    Rec.Reused = Out.Reused || Out.Tel.GreenHit;
+    Rec.Reused = Out.Reused;
     Rec.WallMs = (Out.SmtSec + Out.PrefilterSec + Out.IncrSec) * 1000.0;
     O.Trace->append(Rec);
   }
   if (Out.Res.Status == UnfoldingResult::CycleFound) {
-    // Copy the key first: the CE is moved into the violation.
-    std::vector<unsigned> Key = Out.Res.CE->OrigTxns;
-    if (recordViolation(R, std::move(Key), std::move(Out.Res.CE),
-                        /*Inconclusive=*/false))
+    Recorded = recordViolation(R, std::move(Out.CycleKey),
+                               std::move(Out.Res.CE),
+                               /*Inconclusive=*/false);
+    if (Recorded)
       R.Violations.back().Validated = Out.CEValid;
   }
+  return Recorded ? &R.Violations.back().OrigTxns : nullptr;
 }
 
 bool Run::checkBounded(unsigned K, AnalysisResult &R,
@@ -607,80 +662,43 @@ bool Run::checkBounded(unsigned K, AnalysisResult &R,
     return false;
   }
 
-  unsigned Threads = effectiveThreads(Unfoldings.size());
-  if (Threads <= 1) {
-    // Sequential: solve and commit one unfolding at a time (the early
-    // subsumption check inside solveOne is skipped; commitOutcome decides).
-    for (size_t I = 0; I != Unfoldings.size(); ++I) {
-      const Unfolding &U = Unfoldings[I];
-      if (DL->expired()) {
-        R.UnfoldingsDeferred += static_cast<unsigned>(Unfoldings.size() - I);
-        R.DeadlineExpired = true;
-        return false;
-      }
-      if (subsumed(U, R.Violations)) {
-        ++R.UnfoldingsSubsumed;
-        continue;
-      }
-      UnfoldingOutcome Out = solveOne(U, nullptr, nullptr, &seqEnv());
-      SSGSec += Out.SSGSec;
-      SmtSec += Out.SmtSec;
-      PrefilterSec += Out.PrefilterSec;
-      IncrSec += Out.IncrSec;
-      if (Out.Cancelled) {
-        R.UnfoldingsDeferred += static_cast<unsigned>(Unfoldings.size() - I);
-        R.DeadlineExpired = true;
-        return false;
-      }
-      commitOutcome(U, std::move(Out), R, K, static_cast<long>(I));
-    }
-    return true;
-  }
-
-  // Parallel: workers solve unfoldings speculatively; the main thread
-  // commits results strictly in enumeration order, so violation sets and
-  // every statistic are identical to the sequential run. Workers prune
-  // against the committed violations (guarded by CommitMu) to bound the
-  // speculative waste. The pool is bound to the deadline: once it expires,
-  // workers short-circuit at task entry and the commit loop defers every
-  // unit from the first cancelled/expired index on — outcomes that raced
-  // past the expiry are discarded rather than committed, so a deadline run
-  // commits a prefix of the enumeration order (where the cut lands is
+  // One scheduler for every thread count (see analysis/Scheduler.h):
+  // commits happen here, in enumeration order, so violation sets and every
+  // deterministic statistic are identical at any thread count; helpers
+  // solve ahead speculatively and are cancelled as soon as their unit turns
+  // subsumed. Under an expired deadline the round commits a prefix of the
+  // enumeration order and defers the rest (where the cut lands is
   // timing-dependent; without a deadline, runs stay bit-identical).
-  std::mutex CommitMu;
-  ThreadPool Pool(Threads, DL);
-  std::vector<std::future<UnfoldingOutcome>> Futures;
-  Futures.reserve(Unfoldings.size());
+  std::vector<std::vector<unsigned>> Keys;
+  Keys.reserve(Unfoldings.size());
   for (const Unfolding &U : Unfoldings)
-    Futures.push_back(
-        Pool.submit([this, &U, &R, &CommitMu, &Pool]() -> UnfoldingOutcome {
-          if (Pool.cancelled()) {
-            UnfoldingOutcome Out;
-            Out.Cancelled = true;
-            return Out;
-          }
-          if (!WorkerEnv)
-            WorkerEnv = std::make_unique<Z3Env>();
-          return solveOne(U, &R.Violations, &CommitMu, WorkerEnv.get());
-        }));
-  bool Winding = false;
-  unsigned Deferred = 0;
-  for (size_t I = 0; I != Unfoldings.size(); ++I) {
-    UnfoldingOutcome Out = Futures[I].get();
-    SSGSec += Out.SSGSec;
-    SmtSec += Out.SmtSec;
-    PrefilterSec += Out.PrefilterSec;
-    if (Winding || Out.Cancelled || DL->expired()) {
-      Winding = true;
-      ++Deferred;
-      continue; // drain the remaining futures, discarding outcomes
-    }
-    std::lock_guard<std::mutex> Lock(CommitMu);
-    commitOutcome(Unfoldings[I], std::move(Out), R, K,
-                  static_cast<long>(I));
-  }
-  if (Winding) {
-    R.UnfoldingsDeferred += Deferred;
+    Keys.push_back(U.origTxnSet());
+  SpecHooks<UnfoldingOutcome> H;
+  H.Keys = &Keys;
+  H.CommittedSubsumes = [&R](const std::vector<unsigned> &Key) {
+    return subsumes(R.Violations, Key);
+  };
+  H.Solve = [&](size_t I, SpecGate &Gate) {
+    return solveOne(Unfoldings[I], Gate);
+  };
+  H.Found = [](const UnfoldingOutcome &Out) -> const std::vector<unsigned> * {
+    return Out.Res.Status == UnfoldingResult::CycleFound ? &Out.CycleKey
+                                                         : nullptr;
+  };
+  H.Prepare = [&](size_t I, UnfoldingOutcome &Out) {
+    canonicalWitness(Unfoldings[I], Out);
+  };
+  H.Commit = [&](size_t I, UnfoldingOutcome &&Out) {
+    return commitOutcome(Unfoldings[I], std::move(Out), R, K,
+                         static_cast<long>(I));
+  };
+  SpecStats St = Solv.Sched.run(
+      Unfoldings.size(), [this]() -> Z3Env & { return seqEnv(); }, H);
+  Solv.endRound();
+  R.UnfoldingsSubsumed += St.Subsumed;
+  R.SpeculativeDiscarded += St.Discarded;
+  if (!St.Completed) {
+    R.UnfoldingsDeferred += St.Deferred;
     R.DeadlineExpired = true;
     return false;
   }
@@ -741,10 +759,7 @@ Run::buildMerges(const Unfolding &U,
       Unfolding MU = buildUnfolding(A, Merged);
       StageTimer Timer(SSGSec);
       SSG G(MU.H, O.Features, MU.SessionTags);
-      G.setOracle(Oracle);
-      G.setSatAssist(Assist);
-      G.setEventMask(maskForUnfolding(MU));
-      G.analyze();
+      instantiate(MU, G);
       Result.push_back({std::move(MapTxn), G.graph()});
     }
   return Result;
@@ -843,12 +858,9 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
       return false;
     }
     SSG G(U.H, O.Features, U.SessionTags);
-    G.setOracle(Oracle);
-    G.setSatAssist(Assist);
-    G.setEventMask(maskForUnfolding(U));
     {
       StageTimer Timer(SSGSec);
-      G.analyze();
+      instantiate(U, G);
     }
     // (a) Segments subsumed by known violations are dropped during
     // enumeration; (b) the cheap SSG-level short-cut (session merging)
@@ -929,7 +941,7 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
         // Incremental record lookup first (see solveOne): a persisted
         // NoCycle outcome replays the chunk's prefilter+solve counters.
         std::string RecKey;
-        if (IncrOn && O.Incremental) {
+        if (IncrOn) {
           double IncrChunkSec = 0;
           {
             StageTimer IncrTimer(IncrChunkSec);
@@ -986,7 +998,7 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
             {
               StageTimer ChunkTimer(ChunkSec);
               if (!LS)
-                LS.emplace(U, G, O.Features, P, Oracle, &seqEnv(), green());
+                LS.emplace(U, G, O.Features, P, Oracle, &seqEnv());
               Res = LS->solve(Chunk, &Tel);
             }
             if (Prefiltered) {
@@ -1020,9 +1032,8 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
           Rec.Stage = "generalize";
           Rec.K = K;
           Rec.Unfolding = GenIndex;
-          Rec.Attempts = Prefiltered || Reused || Tel.GreenHit
-                             ? Tel.Attempts
-                             : std::max(1u, Tel.Attempts);
+          Rec.Attempts = Prefiltered || Reused ? Tel.Attempts
+                                               : std::max(1u, Tel.Attempts);
           Rec.RlimitBudget = Tel.RlimitBudget;
           Rec.RlimitSpent = Tel.RlimitSpent;
           Rec.Outcome = Res.Status == UnfoldingResult::NoCycle ? "no-cycle"
@@ -1030,7 +1041,7 @@ bool Run::generalizes(unsigned K, const AnalysisResult &R,
                             ? "cycle"
                             : (Tel.Error ? "error" : "unknown");
           Rec.Prefiltered = Prefiltered;
-          Rec.Reused = Reused || Tel.GreenHit;
+          Rec.Reused = Reused;
           Rec.WallMs = ChunkSec * 1000.0;
           O.Trace->append(Rec);
         }
@@ -1194,6 +1205,8 @@ AnalysisResult c4::analyze(const AbstractHistory &A,
     }
   }
 
+  // One scheduler and one committing-thread env for every Run below.
+  Solvers Slv(O, &DL);
   if (O.UseAtomicSets && !O.AtomicSets.empty()) {
     // Analyze each atomic set independently and merge.
     bool AllGeneralized = true, AllFast = true;
@@ -1207,7 +1220,7 @@ AnalysisResult c4::analyze(const AbstractHistory &A,
         Mask[E] = Mask[E] && In;
       }
       AnalysisResult Sub;
-      Run(A, O, std::move(Mask), OraclePtr, AssistPtr, &DL).execute(Sub);
+      Run(A, O, std::move(Mask), OraclePtr, AssistPtr, &DL, Slv).execute(Sub);
       for (Violation &V : Sub.Violations) {
         bool Dup = false;
         for (const Violation &Old : R.Violations)
@@ -1236,6 +1249,7 @@ AnalysisResult c4::analyze(const AbstractHistory &A,
       R.SolverCtxReuses += Sub.SolverCtxReuses;
       R.RlimitSpent += Sub.RlimitSpent;
       R.UnfoldingsDeferred += Sub.UnfoldingsDeferred;
+      R.SpeculativeDiscarded += Sub.SpeculativeDiscarded;
       R.DfsBudgetExhausted += Sub.DfsBudgetExhausted;
       R.DeadlineExpired = R.DeadlineExpired || Sub.DeadlineExpired;
       R.Truncated = R.Truncated || Sub.Truncated;
@@ -1248,7 +1262,7 @@ AnalysisResult c4::analyze(const AbstractHistory &A,
     R.Generalized = AllGeneralized;
     R.FastProvedSerializable = AllFast && R.Violations.empty();
   } else {
-    Run(A, O, std::move(Base), OraclePtr, AssistPtr, &DL).execute(R);
+    Run(A, O, std::move(Base), OraclePtr, AssistPtr, &DL, Slv).execute(R);
   }
 
   R.PrefilterDisagreements +=
@@ -1260,10 +1274,6 @@ AnalysisResult c4::analyze(const AbstractHistory &A,
   R.SatCacheMisses = OS.SatMisses;
   R.SatAssistProven = OS.SatAssistProven;
   R.PairVerdictsReused = OS.ImportedHits;
-  if (O.Green && O.UseIncremental && !O.CheckPrefilter) {
-    R.ConstraintCacheHits = O.Green->hits();
-    R.ConstraintCacheMisses = O.Green->misses();
-  }
   R.BackendSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - Start)
           .count();
@@ -1337,17 +1347,13 @@ std::string c4::reportStr(const AbstractHistory &A, const AnalysisResult &R) {
               static_cast<unsigned long long>(R.SatCacheMisses),
               static_cast<unsigned long long>(R.RlimitSpent),
               R.SSGSeconds, R.EnumSeconds, R.SmtSeconds);
-  // The incremental layers only report when something was actually reused
-  // (or attempted): cold runs without a cache keep their baseline report.
-  if (R.TxnFingerprintHits || R.PairVerdictsReused || R.ConstraintCacheHits ||
-      R.ConstraintCacheMisses || R.SolverCtxReuses)
+  // The incremental layers only report when something was actually reused:
+  // cold runs without a cache keep their baseline report.
+  if (R.TxnFingerprintHits || R.PairVerdictsReused || R.SolverCtxReuses)
     Out += strf("incremental: %llu txn fingerprint hit(s), %llu pair "
-                "verdict(s) reused, constraint cache %llu hits / %llu "
-                "misses, %llu solver ctx reuse(s); %.3fs\n",
+                "verdict(s) reused, %llu solver ctx reuse(s); %.3fs\n",
                 static_cast<unsigned long long>(R.TxnFingerprintHits),
                 static_cast<unsigned long long>(R.PairVerdictsReused),
-                static_cast<unsigned long long>(R.ConstraintCacheHits),
-                static_cast<unsigned long long>(R.ConstraintCacheMisses),
                 static_cast<unsigned long long>(R.SolverCtxReuses),
                 R.IncrementalSeconds);
   (void)A;

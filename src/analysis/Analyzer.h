@@ -71,9 +71,10 @@ struct AnalyzerOptions {
   unsigned LayoutDfsBudget = 20000;
   /// Optional structured query trace: one record per solver query.
   QueryTrace *Trace = nullptr;
-  /// Worker threads for the bounded check (0 = hardware concurrency).
-  /// Parallel runs commit results in enumeration order, so verdicts,
-  /// violation sets and statistics are identical to a single-threaded run.
+  /// Threads for the bounded check, the committing thread included
+  /// (0 = hardware concurrency; 1 = no helpers, every unit solved inline).
+  /// Results are committed in enumeration order, so verdicts, violation
+  /// sets and statistics are identical at every thread count.
   unsigned NumThreads = 0;
   /// Shares one memoization oracle for rewrite-spec conditions and their
   /// satisfiability verdicts across all SSG instantiations and SMT
@@ -86,8 +87,8 @@ struct AnalyzerOptions {
   /// disk) carry over. Ignored when UseOracle is false. Verdicts are
   /// unaffected either way — entries are pure functions of their keys.
   CommutativityOracle *ExternalOracle = nullptr;
-  /// Optional Z3 environment to reuse for the sequential stages instead of
-  /// constructing a fresh one per run (a context costs ~15 ms, noticeable
+  /// Optional Z3 environment to reuse for the committing thread's queries
+  /// instead of constructing a fresh one per run (a context costs ~15 ms, noticeable
   /// for a service answering many small requests). The caller guarantees
   /// no concurrent use; per-query name generations keep reuse sound.
   Z3Env *ReuseEnv = nullptr;
@@ -101,7 +102,7 @@ struct AnalyzerOptions {
   /// and disagreements are counted (PrefilterDisagreements) with Z3
   /// trusted. Expensive; for CI sweeps and bug triage.
   bool CheckPrefilter = false;
-  /// Master switch for the incremental layers below (`--no-incremental`).
+  /// Master switch for the incremental layer below (`--no-incremental`).
   /// Like NumThreads and UseOracle this is observability-only: the layers
   /// replay verdicts the solver itself proved, so results are identical
   /// either way, and the flag is absent from the verdict fingerprint. Their
@@ -115,10 +116,6 @@ struct AnalyzerOptions {
   /// UseIncremental is false or CheckPrefilter is on (check mode must
   /// actually solve to detect disagreements).
   IncrementalStore *Incremental = nullptr;
-  /// Optional Green-style canonicalized constraint cache shared with the
-  /// SMT stage (see smt/ConstraintCache.h). Same base/overlay determinism
-  /// contract and the same UseIncremental / CheckPrefilter gating.
-  ConstraintCache *Green = nullptr;
   /// §9.1 filters.
   bool DisplayFilter = false;
   bool UseAtomicSets = false;
@@ -175,8 +172,8 @@ struct AnalysisResult {
   unsigned SMTUnknown = 0;
   unsigned SMTRetries = 0; ///< escalated re-solves after an unknown
   unsigned SmtSolves = 0; ///< queries that actually reached Z3 — SmtQueries
-                          ///< minus incremental-record and constraint-cache
-                          ///< reuse (the warm-run speedup metric)
+                          ///< minus incremental-record reuse (the warm-run
+                          ///< speedup metric)
   uint64_t RlimitSpent = 0; ///< solver resource units across all queries
   bool Truncated = false; ///< an enumeration cap was hit
   /// The --deadline-ms budget expired; the result is partial but sound
@@ -187,6 +184,10 @@ struct AnalysisResult {
   unsigned UnfoldingsDeferred = 0;
   /// Layout-viability DFS budget exhaustions (layouts conservatively kept).
   unsigned DfsBudgetExhausted = 0;
+  /// Bounded-check units whose speculative work was cancelled or thrown
+  /// away because the in-order commit found them subsumed. Timing-
+  /// dependent (0 with one thread), unlike the counts above.
+  unsigned SpeculativeDiscarded = 0;
   double BackendSeconds = 0;
 
   // Observability (oracle cache + per-stage time). Stage seconds are
@@ -203,6 +204,8 @@ struct AnalysisResult {
   uint64_t PairVerdictsReused = 0; ///< oracle sat verdicts answered from
                                    ///< the imported snapshot (SSG edge and
                                    ///< commutativity/absorption reuse)
+  /// Always 0: the constraint cache they counted is gone. Kept for the
+  /// benchmark probe, which still reads them.
   uint64_t ConstraintCacheHits = 0, ConstraintCacheMisses = 0;
   uint64_t SolverCtxReuses = 0; ///< solver contexts shared instead of
                                 ///< rebuilt (retry re-checks + generalize

@@ -24,8 +24,6 @@ std::string verdictKey(const std::string &Fingerprint) {
 
 std::string incrKey() { return "incr-r" + std::to_string(kSpecRevision); }
 
-std::string greenKey() { return "green-r" + std::to_string(kSpecRevision); }
-
 } // namespace
 
 AnalysisCache::AnalysisCache(const std::string &Dir, bool Incremental)
@@ -50,13 +48,6 @@ AnalysisCache::AnalysisCache(const std::string &Dir, bool Incremental)
       PersistedIncrTxns = IncrSnap.numTxns();
     }
   }
-  if (std::optional<std::string> Blob = Disk.get(greenKey())) {
-    if (std::optional<ConstraintSnapshot> S =
-            ConstraintSnapshot::deserialize(*Blob)) {
-      GreenSnap = std::move(*S);
-      PersistedGreenSize = GreenSnap.size();
-    }
-  }
 }
 
 size_t AnalysisCache::oracleEntries() {
@@ -74,11 +65,6 @@ size_t AnalysisCache::incrTxns() {
   return IncrSnap.numTxns();
 }
 
-size_t AnalysisCache::greenProofs() {
-  std::lock_guard<std::mutex> Lock(SnapMu);
-  return GreenSnap.size();
-}
-
 void AnalysisCache::flush() {
   std::lock_guard<std::mutex> Lock(SnapMu);
   if (!Disk.enabled())
@@ -94,10 +80,6 @@ void AnalysisCache::flush() {
     Disk.put(incrKey(), IncrSnap.serialize());
     PersistedIncrRecords = IncrSnap.numRecords();
     PersistedIncrTxns = IncrSnap.numTxns();
-  }
-  if (GreenSnap.size() > PersistedGreenSize) {
-    Disk.put(greenKey(), GreenSnap.serialize());
-    PersistedGreenSize = GreenSnap.size();
   }
 }
 
@@ -212,25 +194,20 @@ struct PipelineRunner {
         O2.ExternalOracle = &Oracle;
       }
 
-      // Incremental layers: freeze private copies of the shared snapshots
+      // Incremental layer: freeze a private copy of the shared snapshot
       // for this run (lookups must see one immutable base — see the
       // determinism contract in analysis/Incremental.h) and hand the
-      // analyzer a store/cache over them. Check-prefilter mode opts out:
-      // replayed verdicts would mask the disagreements it exists to find.
+      // analyzer a store over it. Check-prefilter mode opts out: replayed
+      // verdicts would mask the disagreements it exists to find.
       std::optional<IncrementalSnapshot> IncrBase;
-      std::optional<ConstraintSnapshot> GreenBase;
       std::optional<IncrementalStore> Store;
-      std::optional<ConstraintCache> Green;
       if (C.Incr && O.UseIncremental && !O.CheckPrefilter) {
         {
           std::lock_guard<std::mutex> Lock(C.SnapMu);
           IncrBase = C.IncrSnap;
-          GreenBase = C.GreenSnap;
         }
         Store.emplace(&*IncrBase);
-        Green.emplace(&*GreenBase);
         O2.Incremental = &*Store;
-        O2.Green = &*Green;
       }
 
       PR.R = analyze(A, O2);
@@ -245,15 +222,12 @@ struct PipelineRunner {
         }
       }
 
-      // Fold the incremental layers back. Constraint-cache proofs are
-      // always kept (an unsat slice proof is sound regardless of how the
-      // run ended); per-unfolding records and txn digests are dropped on
-      // an expired deadline — a wound-down run records only a prefix of
-      // its queries, and its txn digests would claim "seen" for work that
-      // never completed.
+      // Fold the incremental layer back. Per-unfolding records and txn
+      // digests are dropped on an expired deadline — a wound-down run
+      // records only a prefix of its queries, and its txn digests would
+      // claim "seen" for work that never completed.
       if (Store) {
         std::lock_guard<std::mutex> Lock(C.SnapMu);
-        Green->exportProofs(C.GreenSnap);
         if (!PR.R.DeadlineExpired)
           Store->exportInto(C.IncrSnap);
         if (C.IncrSnap.numRecords() > C.PersistedIncrRecords ||
@@ -261,10 +235,6 @@ struct PipelineRunner {
           C.Disk.put(incrKey(), C.IncrSnap.serialize());
           C.PersistedIncrRecords = C.IncrSnap.numRecords();
           C.PersistedIncrTxns = C.IncrSnap.numTxns();
-        }
-        if (C.GreenSnap.size() > C.PersistedGreenSize) {
-          C.Disk.put(greenKey(), C.GreenSnap.serialize());
-          C.PersistedGreenSize = C.GreenSnap.size();
         }
       }
 
@@ -387,17 +357,14 @@ std::string c4::renderStatsJson(const StatsJsonFields &F,
                 "  \"smt_solves\": %u,\n"
                 "  \"txn_fingerprint_hits\": %llu,\n"
                 "  \"pair_verdicts_reused\": %llu,\n"
-                "  \"constraint_cache_hits\": %llu,\n"
-                "  \"constraint_cache_misses\": %llu,\n"
                 "  \"solver_ctx_reuses\": %llu,\n"
+                "  \"speculative_discarded\": %u,\n"
                 "  \"incremental_seconds\": %.6f,\n",
                 R.SmtSolves,
                 static_cast<unsigned long long>(R.TxnFingerprintHits),
                 static_cast<unsigned long long>(R.PairVerdictsReused),
-                static_cast<unsigned long long>(R.ConstraintCacheHits),
-                static_cast<unsigned long long>(R.ConstraintCacheMisses),
                 static_cast<unsigned long long>(R.SolverCtxReuses),
-                R.IncrementalSeconds);
+                R.SpeculativeDiscarded, R.IncrementalSeconds);
   Json += Buf;
   std::snprintf(Buf, sizeof(Buf),
                 "  \"ssg_seconds\": %.6f,\n  \"enum_seconds\": %.6f,\n"

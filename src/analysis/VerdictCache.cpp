@@ -130,7 +130,7 @@ std::string c4::fingerprintAnalysis(const AbstractHistory &A,
 
 namespace {
 
-constexpr const char *BlobHeader = "c4-verdict 3";
+constexpr const char *BlobHeader = "c4-verdict 4";
 
 /// Newlines and backslashes are the only characters the line-based format
 /// cannot carry verbatim.
@@ -287,11 +287,9 @@ std::string c4::serializeResult(const AnalysisResult &R) {
   addField(Out, "sat_assist_proven", std::to_string(R.SatAssistProven));
   addField(Out, "txn_fingerprint_hits", std::to_string(R.TxnFingerprintHits));
   addField(Out, "pair_verdicts_reused", std::to_string(R.PairVerdictsReused));
-  addField(Out, "constraint_cache_hits",
-           std::to_string(R.ConstraintCacheHits));
-  addField(Out, "constraint_cache_misses",
-           std::to_string(R.ConstraintCacheMisses));
   addField(Out, "solver_ctx_reuses", std::to_string(R.SolverCtxReuses));
+  addField(Out, "speculative_discarded",
+           std::to_string(R.SpeculativeDiscarded));
   addField(Out, "backend_seconds", hexFloat(R.BackendSeconds));
   addField(Out, "ssg_seconds", hexFloat(R.SSGSeconds));
   addField(Out, "enum_seconds", hexFloat(R.EnumSeconds));
@@ -350,9 +348,8 @@ std::optional<AnalysisResult> c4::deserializeResult(const std::string &Blob) {
             Rd.u64("sat_assist_proven", R.SatAssistProven) &&
             Rd.u64("txn_fingerprint_hits", R.TxnFingerprintHits) &&
             Rd.u64("pair_verdicts_reused", R.PairVerdictsReused) &&
-            Rd.u64("constraint_cache_hits", R.ConstraintCacheHits) &&
-            Rd.u64("constraint_cache_misses", R.ConstraintCacheMisses) &&
             Rd.u64("solver_ctx_reuses", R.SolverCtxReuses) &&
+            Rd.u32("speculative_discarded", R.SpeculativeDiscarded) &&
             Rd.dbl("backend_seconds", R.BackendSeconds) &&
             Rd.dbl("ssg_seconds", R.SSGSeconds) &&
             Rd.dbl("enum_seconds", R.EnumSeconds) &&

@@ -681,6 +681,7 @@ CounterExample UnfoldingEncoder::extract(const z3::model &M) const {
   for (unsigned CI = 0; CI != CycleSel.size(); ++CI) {
     if (!Z3Env::evalBool(M, CycleSel[CI]))
       continue;
+    CE.Candidate = CI;
     for (unsigned T : (*Cands)[CI].Txns) {
       CE.CycleTxns.push_back(static_cast<unsigned>(ConcreteTxn[T]));
       CE.OrigTxns.push_back(U.OrigTxn[T]);
@@ -771,6 +772,10 @@ UnfoldingResult UnfoldingEncoder::solve(bool CanonicalWitness,
     }
   }
   if (Z.solver().check(Assumptions) == z3::sat) {
+    if (Z.interrupted()) {
+      R.Status = UnfoldingResult::Unknown; // abandoned: skip the minimization
+      return R;
+    }
     R.Status = UnfoldingResult::CycleFound;
     z3::model M = Z.solver().get_model();
     if (CanonicalWitness)
@@ -788,6 +793,10 @@ UnfoldingResult UnfoldingEncoder::solve(bool CanonicalWitness,
   case z3::sat:
     break;
   }
+  if (Z.interrupted()) {
+    R.Status = UnfoldingResult::Unknown;
+    return R;
+  }
   R.Status = UnfoldingResult::CycleFound;
   z3::model M = Z.solver().get_model();
   if (CanonicalWitness) {
@@ -796,32 +805,6 @@ UnfoldingResult UnfoldingEncoder::solve(bool CanonicalWitness,
   }
   R.CE = extract(M);
   return R;
-}
-
-} // namespace
-
-
-namespace {
-
-/// The constraint-cache context tag: green unsat proofs are only valid
-/// for runs whose deterministic solver budget would reprove them, so the
-/// budget (minus the wall backstop, which by design never decides first)
-/// is part of every key.
-std::string budgetTag(const SolverBudget &B) {
-  return "rl" + std::to_string(B.Rlimit) + ".e" +
-         std::to_string(B.Escalation) + ".r" + std::to_string(B.MaxRetries) +
-         ".c" + std::to_string(B.RlimitCap);
-}
-
-/// Renders every assertion of the current solver as SMT-LIB text, the
-/// input to canonicalQueryKey().
-std::vector<std::string> assertionTexts(Z3Env &Env) {
-  std::vector<std::string> Out;
-  z3::expr_vector As = Env.solver().assertions();
-  Out.reserve(As.size());
-  for (unsigned I = 0; I != As.size(); ++I)
-    Out.push_back(As[static_cast<int>(I)].to_string());
-  return Out;
 }
 
 /// The escalating-rlimit retry loop against an *already encoded* solver:
@@ -836,8 +819,8 @@ UnfoldingResult runAttempts(UnfoldingEncoder &Enc, Z3Env &Env,
   UnfoldingResult R;
   R.Status = UnfoldingResult::Unknown;
   for (unsigned Attempt = 0; Attempt <= P.Budget.MaxRetries; ++Attempt) {
-    if (Attempt && P.DL && P.DL->expired())
-      break; // deadline: report the unknown we already have
+    if ((Attempt && P.DL && P.DL->expired()) || Env.interrupted())
+      break; // deadline or abandoned: report the unknown we already have
     uint64_t Rlimit = P.Budget.rlimitForAttempt(Attempt);
     unsigned WallMs = P.DL && P.DL->active()
                           ? P.DL->remainingMs(P.Budget.WallMs)
@@ -871,8 +854,7 @@ UnfoldingResult c4::solveUnfolding(const Unfolding &U, const SSG &G,
                                    const AnalysisFeatures &F,
                                    const SolverPolicy &P,
                                    CommutativityOracle *Oracle, Z3Env *Reuse,
-                                   SolveTelemetry *Telemetry,
-                                   ConstraintCache *Green) {
+                                   SolveTelemetry *Telemetry) {
   SolveTelemetry Local;
   SolveTelemetry &T = Telemetry ? *Telemetry : Local;
   T = SolveTelemetry();
@@ -891,23 +873,10 @@ UnfoldingResult c4::solveUnfolding(const Unfolding &U, const SSG &G,
     }
     UnfoldingEncoder Enc(U, G, F, *Env, Oracle);
     Enc.encode(Cands);
-    std::string Key;
-    if (Green) {
-      Key = canonicalQueryKey(assertionTexts(*Env), budgetTag(P.Budget));
-      if (Green->knownUnsat(Key)) {
-        T.GreenHit = true;
-        UnfoldingResult R;
-        R.Status = UnfoldingResult::NoCycle;
-        return R;
-      }
-    }
     // Canonicalize the witness: the bounded stage commits the realized
     // cycle as a violation, so it must not depend on the reused
     // context's query history (see minimizeRealizedCycle).
-    UnfoldingResult R = runAttempts(Enc, *Env, P, T, /*CanonicalWitness=*/true);
-    if (Green && R.Status == UnfoldingResult::NoCycle)
-      Green->recordUnsat(Key);
-    return R;
+    return runAttempts(Enc, *Env, P, T, /*CanonicalWitness=*/true);
   } catch (const z3::exception &) {
     // Confine Z3 exceptions: treat failures as inconclusive.
     T.Error = true;
@@ -919,7 +888,6 @@ UnfoldingResult c4::solveUnfolding(const Unfolding &U, const SSG &G,
 
 struct LayoutSolver::Impl {
   SolverPolicy P;
-  ConstraintCache *Green = nullptr;
   std::optional<Z3Env> Own;
   Z3Env *Env = nullptr;
   std::optional<UnfoldingEncoder> Enc;
@@ -930,11 +898,9 @@ struct LayoutSolver::Impl {
 
 LayoutSolver::LayoutSolver(const Unfolding &U, const SSG &G,
                            const AnalysisFeatures &F, const SolverPolicy &P,
-                           CommutativityOracle *Oracle, Z3Env *Reuse,
-                           ConstraintCache *Green)
+                           CommutativityOracle *Oracle, Z3Env *Reuse)
     : I(std::make_unique<Impl>()) {
   I->P = P;
-  I->Green = Green;
   try {
     if (Reuse) {
       Reuse->reset(P.Budget.rlimitForAttempt(0), P.Budget.WallMs);
@@ -974,24 +940,11 @@ UnfoldingResult LayoutSolver::solve(const std::vector<CandidateCycle> &Cands,
     I->Enc->encodeCycles(Cands);
     if (++I->Chunks > 1)
       ++T.CtxReuses; // the chunk rode an existing base encoding
-    std::string Key;
-    if (I->Green) {
-      Key = canonicalQueryKey(assertionTexts(*I->Env), budgetTag(I->P.Budget));
-      if (I->Green->knownUnsat(Key)) {
-        T.GreenHit = true;
-        S.pop();
-        UnfoldingResult R;
-        R.Status = UnfoldingResult::NoCycle;
-        return R;
-      }
-    }
     // No witness canonicalization here: a generalize-stage cycle only
     // blocks the generalization (sat/unsat is already deterministic);
     // its realized cycle is never committed as a violation.
     UnfoldingResult R = runAttempts(*I->Enc, *I->Env, I->P, T,
                                     /*CanonicalWitness=*/false);
-    if (I->Green && R.Status == UnfoldingResult::NoCycle)
-      I->Green->recordUnsat(Key);
     S.pop();
     return R;
   } catch (const z3::exception &) {

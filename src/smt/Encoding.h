@@ -34,7 +34,6 @@
 
 #include "abstract/Features.h"
 #include "history/Schedule.h"
-#include "smt/ConstraintCache.h"
 #include "smt/Z3Env.h"
 #include "ssg/SSG.h"
 #include "support/Deadline.h"
@@ -58,6 +57,8 @@ struct CounterExample {
   std::vector<unsigned> OrigTxns;
   /// Human-readable rendering.
   std::string Text;
+  /// Index of the realized cycle in the candidate list that was solved.
+  unsigned Candidate = 0;
 };
 
 /// Result of solving one unfolding.
@@ -92,9 +93,6 @@ struct SolveTelemetry {
   /// plus, through \ref LayoutSolver, additional cycle chunks solved
   /// against a shared base encoding.
   unsigned CtxReuses = 0;
-  /// The query was answered NoCycle by the canonicalized constraint cache
-  /// without any Z3 check (Attempts stays 0).
-  bool GreenHit = false;
 };
 
 /// Builds and solves ϕ_cyclic for \p U. \p Candidates are the SC1-feasible
@@ -110,19 +108,16 @@ struct SolveTelemetry {
 /// re-arming the *same* solver with an escalated rlimit
 /// (`Z3Env::rearm`) and re-checking — the re-encode per attempt is gone,
 /// and each such re-check counts into `SolveTelemetry::CtxReuses`. An env
-/// must not be shared between threads; each worker keeps its own.
-/// \p Green, when given, is consulted after encoding: a canonical-form
-/// hit proves NoCycle without any Z3 check, and a fresh unsat proof is
-/// recorded back. \p Telemetry, when given, receives the attempt/spend
-/// accounting.
+/// must not be shared between threads; each worker keeps its own. An
+/// interrupted env (Z3Env::interrupt) stops the query with Unknown.
+/// \p Telemetry, when given, receives the attempt/spend accounting.
 UnfoldingResult solveUnfolding(const Unfolding &U, const SSG &G,
                                const std::vector<CandidateCycle> &Candidates,
                                const AnalysisFeatures &F,
                                const SolverPolicy &P = {},
                                CommutativityOracle *Oracle = nullptr,
                                Z3Env *Reuse = nullptr,
-                               SolveTelemetry *Telemetry = nullptr,
-                               ConstraintCache *Green = nullptr);
+                               SolveTelemetry *Telemetry = nullptr);
 
 /// A shared solver context for the many cycle/segment chunks of one
 /// session layout (the §7.2 generalization loop solves the same unfolding
@@ -139,7 +134,7 @@ public:
   /// private env is created. All referees must outlive the solver.
   LayoutSolver(const Unfolding &U, const SSG &G, const AnalysisFeatures &F,
                const SolverPolicy &P, CommutativityOracle *Oracle = nullptr,
-               Z3Env *Reuse = nullptr, ConstraintCache *Green = nullptr);
+               Z3Env *Reuse = nullptr);
   ~LayoutSolver();
   LayoutSolver(const LayoutSolver &) = delete;
   LayoutSolver &operator=(const LayoutSolver &) = delete;

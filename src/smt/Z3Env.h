@@ -16,7 +16,9 @@
 
 #include <z3++.h>
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 
 namespace c4 {
@@ -102,6 +104,17 @@ public:
   /// once per query instead of once per attempt.
   void rearm(uint64_t Rlimit, unsigned WallMs) { configure(Rlimit, WallMs); }
 
+  /// Stops a check running on this env from another thread (it returns
+  /// `unknown`). The owner discards every answer the env gave since and
+  /// never queries it again (Z3EnvSlot replaces it).
+  void interrupt() {
+    Interrupted.store(true, std::memory_order_relaxed);
+    Ctx.interrupt();
+  }
+  bool interrupted() const {
+    return Interrupted.load(std::memory_order_relaxed);
+  }
+
   /// Context-cumulative resource count ("rlimit count" solver statistic).
   /// Callers measure one query's cost as a delta of this counter; returns
   /// 0 if the statistic is unavailable.
@@ -168,6 +181,28 @@ private:
   z3::context Ctx;
   z3::solver Solver;
   unsigned Generation = 0;
+  std::atomic<bool> Interrupted{false};
+};
+
+/// A worker's env, built on first use and rebuilt after an interrupt, so a
+/// stale cancel never reaches a later query. Only the owning worker calls
+/// get(), and only while no other thread may interrupt the env it last
+/// handed out. Rebuilding is not optional: on this analyzer's queries a
+/// context that was interrupted mid-solve has been seen to answer a later
+/// query `sat` with an empty model (a bogus cycle), even after a solver
+/// reset.
+class Z3EnvSlot {
+public:
+  Z3Env &get() {
+    if (!Env || Env->interrupted()) {
+      Env.reset(); // release the old context's memory first
+      Env = std::make_unique<Z3Env>();
+    }
+    return *Env;
+  }
+
+private:
+  std::unique_ptr<Z3Env> Env;
 };
 
 } // namespace c4

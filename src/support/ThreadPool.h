@@ -5,29 +5,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size worker pool used by the parallel bounded check: tasks
-/// are submitted as callables and their results retrieved through
-/// std::future, which lets the analyzer commit outcomes in submission order
-/// (the ordered-commit scheme that keeps parallel runs bit-identical to
-/// sequential ones). Tasks run FIFO; the destructor drains the queue and
-/// joins all workers.
-///
-/// Cancellation is cooperative. A pool can be bound to a Deadline (or
-/// cancelled manually); every queued task still runs — a packaged task must
-/// execute for its future to become ready — but deadline-aware tasks check
-/// `cancelled()` at entry and return a sentinel result in microseconds, so
-/// draining a long queue after expiry costs almost nothing. `cancelled()`
-/// latches via the Deadline, making post-expiry polls one relaxed atomic
-/// load (no clock reads on the worker hot path).
+/// A small fixed-size worker pool: tasks are submitted as callables and
+/// their results retrieved through std::future. It hosts the bounded-check
+/// scheduler's helper threads (analysis/Scheduler.h) and the serving
+/// tier's request workers. Tasks run FIFO; the destructor drains the queue
+/// and joins all workers.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef C4_SUPPORT_THREADPOOL_H
 #define C4_SUPPORT_THREADPOOL_H
 
-#include "support/Deadline.h"
-
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <functional>
@@ -42,11 +30,7 @@ namespace c4 {
 
 class ThreadPool {
 public:
-  /// \p Cancel, when given, is the run's deadline: once it expires,
-  /// `cancelled()` turns true for every worker and submitter.
-  explicit ThreadPool(unsigned NumThreads,
-                      const Deadline *CancelDeadline = nullptr)
-      : Cancel(CancelDeadline) {
+  explicit ThreadPool(unsigned NumThreads) {
     if (NumThreads == 0)
       NumThreads = 1;
     for (unsigned I = 0; I != NumThreads; ++I)
@@ -67,17 +51,6 @@ public:
   }
 
   unsigned numThreads() const { return static_cast<unsigned>(Workers.size()); }
-
-  /// True once the bound deadline expired or `cancel()` was called. Tasks
-  /// poll this at entry and wind down; results produced after this point
-  /// are still well-formed (the ordered commit loop decides what to keep).
-  bool cancelled() const {
-    return ManualCancel.load(std::memory_order_relaxed) ||
-           (Cancel && Cancel->expired());
-  }
-
-  /// Manual cooperative cancellation, independent of any deadline.
-  void cancel() { ManualCancel.store(true, std::memory_order_relaxed); }
 
   /// Enqueues \p Fn and returns a future for its result. Safe to call from
   /// multiple threads. Tasks must not block on futures of tasks submitted
@@ -110,8 +83,6 @@ private:
         Task = std::move(Queue.front());
         Queue.pop_front();
       }
-      // Run even when cancelled: the task's future must become ready, and
-      // cancellation-aware tasks exit in microseconds once `cancelled()`.
       Task();
     }
   }
@@ -121,8 +92,6 @@ private:
   std::mutex Mu;
   std::condition_variable Cv;
   bool Stopping = false;
-  const Deadline *Cancel;
-  std::atomic<bool> ManualCancel{false};
 };
 
 } // namespace c4

@@ -7,9 +7,7 @@
 /// \file
 /// Tests for the incremental re-analysis layer: per-transaction content
 /// digests (editing or adding one transaction never perturbs another's
-/// digest; renames don't change any), the Green-style canonical constraint
-/// key (naming, query-generation and conjunct-interleaving invariance;
-/// content and context sensitivity), snapshot serialization round-trips,
+/// digest; renames don't change any), snapshot serialization round-trips,
 /// and the end-to-end differential contract — a warm re-analysis of an
 /// edited program through a populated incremental cache must match a plain
 /// cold run of the edited program on every verdict field and logical
@@ -20,7 +18,6 @@
 #include "analysis/Incremental.h"
 #include "analysis/Pipeline.h"
 #include "frontend/Frontend.h"
-#include "smt/ConstraintCache.h"
 
 #include "gtest/gtest.h"
 
@@ -158,55 +155,6 @@ TEST(TxnDigest, ContextDigestTracksOptionsNotIterationCaps) {
 }
 
 //===----------------------------------------------------------------------===//
-// Canonical constraint keys (the Green cache)
-//===----------------------------------------------------------------------===//
-
-TEST(CanonicalKey, RenamingAndGenerationInvariance) {
-  // Same structure, different query generation and different constant
-  // names: one canonical key.
-  std::vector<std::string> A = {"(assert (> q1.ev0.pos q1.ev1.pos))",
-                                "(assert (= q1.txn0.present true))"};
-  std::vector<std::string> B = {"(assert (> q7.alpha q7.beta))",
-                                "(assert (= q7.gamma true))"};
-  EXPECT_EQ(canonicalQueryKey(A), canonicalQueryKey(B));
-}
-
-TEST(CanonicalKey, IndependentConjunctInterleavingInvariance) {
-  // {a,b} and {c} share no symbols — the slicer must make the key
-  // independent of how the encoder interleaved the two groups.
-  std::vector<std::string> AB_C = {"(assert (> q1.a q1.b))",
-                                   "(assert (= q1.c 0))"};
-  std::vector<std::string> C_AB = {"(assert (= q1.c 0))",
-                                   "(assert (> q1.a q1.b))"};
-  EXPECT_EQ(canonicalQueryKey(AB_C), canonicalQueryKey(C_AB));
-}
-
-TEST(CanonicalKey, ContentAndContextSensitivity) {
-  std::vector<std::string> A = {"(assert (> q1.a q1.b))"};
-  std::vector<std::string> B = {"(assert (>= q1.a q1.b))"};
-  EXPECT_NE(canonicalQueryKey(A), canonicalQueryKey(B));
-  // An unsat proof under one solver budget must not answer a query
-  // running under another: the context tag splits the key space.
-  EXPECT_NE(canonicalQueryKey(A, "rlimit=1000"),
-            canonicalQueryKey(A, "rlimit=2000"));
-  EXPECT_EQ(canonicalQueryKey(A, "rlimit=1000"),
-            canonicalQueryKey(A, "rlimit=1000"));
-}
-
-TEST(CanonicalKey, SharedSymbolsKeepConjunctsInOneGroup) {
-  // a-b and b-c are linked through b: a *consistent* whole-group renaming
-  // is fine, but collapsing the link must change the key.
-  std::vector<std::string> Linked = {"(assert (> q1.a q1.b))",
-                                     "(assert (> q1.b q1.c))"};
-  std::vector<std::string> Renamed = {"(assert (> q2.x q2.y))",
-                                      "(assert (> q2.y q2.z))"};
-  std::vector<std::string> Split = {"(assert (> q1.a q1.b))",
-                                    "(assert (> q1.d q1.c))"};
-  EXPECT_EQ(canonicalQueryKey(Linked), canonicalQueryKey(Renamed));
-  EXPECT_NE(canonicalQueryKey(Linked), canonicalQueryKey(Split));
-}
-
-//===----------------------------------------------------------------------===//
 // Snapshot round-trips
 //===----------------------------------------------------------------------===//
 
@@ -239,24 +187,6 @@ TEST(Snapshots, IncrementalRoundTrip) {
   EXPECT_FALSE(IncrementalSnapshot::deserialize("garbage\n").has_value());
   EXPECT_FALSE(
       IncrementalSnapshot::deserialize(Blob.substr(0, Blob.size() / 2))
-          .has_value());
-}
-
-TEST(Snapshots, ConstraintRoundTrip) {
-  ConstraintSnapshot S;
-  S.insert("fp-1");
-  S.insert("fp-2");
-  std::string Blob = S.serialize();
-  auto Back = ConstraintSnapshot::deserialize(Blob);
-  ASSERT_TRUE(Back.has_value());
-  EXPECT_EQ(Back->serialize(), Blob);
-  EXPECT_TRUE(Back->contains("fp-1"));
-  EXPECT_FALSE(Back->contains("fp-3"));
-  EXPECT_FALSE(ConstraintSnapshot::deserialize("").has_value());
-  EXPECT_FALSE(ConstraintSnapshot::deserialize("c4-green-snapshot 99\n0\n")
-                   .has_value());
-  EXPECT_FALSE(
-      ConstraintSnapshot::deserialize("c4-green-snapshot 1\n2\nfp-1\n")
           .has_value());
 }
 
@@ -295,8 +225,8 @@ std::string stripVolatile(const std::string &Blob) {
       "sat_cache_misses",    "sat_assist_proven",
       "cond_cache_hits",     "cond_cache_misses",
       "txn_fingerprint_hits", "pair_verdicts_reused",
-      "constraint_cache_hits", "constraint_cache_misses",
-      "solver_ctx_reuses",   "v.ce",
+      "solver_ctx_reuses",   "speculative_discarded",
+      "v.ce",
   };
   std::string Out;
   size_t Pos = 0;
@@ -411,7 +341,6 @@ TEST(IncrementalDifferential, NoIncrementalEscapeHatchAgreesWithPlain) {
   PipelineResult On = analyzeSource(Edited, &Cache, /*UseIncremental=*/true);
   // --no-incremental bypasses every reuse layer: no reuse counters at all.
   EXPECT_EQ(Off.R.TxnFingerprintHits, 0u);
-  EXPECT_EQ(Off.R.ConstraintCacheHits + Off.R.ConstraintCacheMisses, 0u);
   // All three agree on verdicts and logical counters.
   EXPECT_EQ(stripVolatile(serializeResult(Off.R)),
             stripVolatile(serializeResult(Plain.R)));

@@ -15,22 +15,31 @@
 ///  * end-to-end equivalence — for representative option sets, the full
 ///    pipeline produces identical verdicts, violations and statistics
 ///    with the oracle on and off;
-///  * parallel determinism — a multi-threaded bounded check commits
-///    results in enumeration order, so violations and counters are
-///    identical to the single-threaded run.
+///  * parallel determinism — the bounded check commits results in
+///    enumeration order at every thread count, so violations, witness text
+///    and every deterministic counter are identical at 1, 2 and 4 threads
+///    (examples and bench apps), and a unit pruned against a speculative
+///    cycle that the commit discards is solved at commit time.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Analyzer.h"
+#include "analysis/Scheduler.h"
+#include "apps/Apps.h"
 #include "frontend/Frontend.h"
+#include "passes/PassManager.h"
 #include "spec/CommutativityCache.h"
 #include "ssg/GraphExport.h"
 #include "ssg/SSG.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <thread>
 
 using namespace c4;
 
@@ -98,6 +107,41 @@ void expectSameOutcome(const AnalysisResult &A, const AnalysisResult &B,
   EXPECT_EQ(A.SMTRefuted, B.SMTRefuted) << Context;
   EXPECT_EQ(A.SMTUnknown, B.SMTUnknown) << Context;
   EXPECT_EQ(A.Truncated, B.Truncated) << Context;
+}
+
+/// Two runs that may differ only in scheduling: everything but timings,
+/// cache-state and solver telemetry must match, witness text included.
+void expectIdenticalRuns(const AnalysisResult &A, const AnalysisResult &B,
+                         const std::string &Context) {
+  expectSameOutcome(A, B, Context.c_str());
+  for (size_t I = 0; I != A.Violations.size() && I != B.Violations.size();
+       ++I)
+    EXPECT_EQ(A.Violations[I].CE ? A.Violations[I].CE->Text : "",
+              B.Violations[I].CE ? B.Violations[I].CE->Text : "")
+        << Context << " violation " << I;
+  EXPECT_EQ(A.SSGEdges, B.SSGEdges) << Context;
+  EXPECT_EQ(A.SmtQueries, B.SmtQueries) << Context;
+  EXPECT_EQ(A.SmtQueriesPrefiltered, B.SmtQueriesPrefiltered) << Context;
+  EXPECT_EQ(A.PrefilterUnknowns, B.PrefilterUnknowns) << Context;
+  EXPECT_EQ(A.PrefilterDisagreements, B.PrefilterDisagreements) << Context;
+  EXPECT_EQ(A.SMTRetries, B.SMTRetries) << Context;
+  EXPECT_EQ(A.SmtSolves, B.SmtSolves) << Context;
+  EXPECT_EQ(A.UnfoldingsDeferred, B.UnfoldingsDeferred) << Context;
+  EXPECT_EQ(A.DfsBudgetExhausted, B.DfsBudgetExhausted) << Context;
+  EXPECT_EQ(A.DeadlineExpired, B.DeadlineExpired) << Context;
+}
+
+/// Analyzes \p P at 1, 2 and 4 threads and checks the runs are identical.
+void expectThreadCountInvariant(const CompiledProgram &P, AnalyzerOptions O,
+                                const std::string &Context) {
+  O.NumThreads = 1;
+  AnalysisResult Seq = analyze(*P.History, O);
+  EXPECT_EQ(Seq.SpeculativeDiscarded, 0u) << Context; // nothing speculates
+  for (unsigned Threads : {2u, 4u}) {
+    O.NumThreads = Threads;
+    expectIdenticalRuns(Seq, analyze(*P.History, O),
+                        Context + " threads=" + std::to_string(Threads));
+  }
 }
 
 } // namespace
@@ -175,23 +219,49 @@ TEST(OracleEquivalence, AtomicSetFilterVerdictsMatchUncached) {
 }
 
 TEST(ParallelDeterminism, BoundedCheckMatchesSequential) {
-  // Workers solve unfoldings speculatively but results are committed in
-  // enumeration order, so a parallel run must be indistinguishable from a
-  // sequential one — same violations in the same order, same subsumption
-  // and solver counters. Exercised on programs with and without
-  // violations. (Thread counts above the core count still exercise the
+  // Helpers solve unfoldings speculatively but results are committed in
+  // enumeration order, so every thread count must be indistinguishable
+  // from one thread — same violations in the same order with the same
+  // witness text, same subsumption and solver counters. Exercised on
+  // programs with and without violations, in the CLI configuration and
+  // unfiltered. (Thread counts above the core count still exercise the
   // ordered-commit path.)
   for (const char *File : ExampleFiles) {
     std::optional<CompiledProgram> P = compileExample(File);
     ASSERT_TRUE(P) << File;
-    AnalyzerOptions Seq;
-    Seq.NumThreads = 1;
-    AnalyzerOptions Par;
-    Par.NumThreads = 4;
-    AnalysisResult RS = analyze(*P->History, Seq);
-    AnalysisResult RP = analyze(*P->History, Par);
-    expectSameOutcome(RS, RP, File);
+    AnalyzerOptions Cli;
+    Cli.DisplayFilter = true;
+    Cli.UseAtomicSets = true;
+    Cli.AtomicSets = P->AtomicSets;
+    expectThreadCountInvariant(*P, Cli, std::string(File) + " cli");
+    expectThreadCountInvariant(*P, AnalyzerOptions(),
+                               std::string(File) + " unfiltered");
   }
+}
+
+TEST(ParallelDeterminism, BenchAppsMatchAtEveryThreadCount) {
+  // The bench apps outside perfbench/gen.py's FILL_HEAVY (those four take
+  // most of the corpus's time), compiled and reduced as c4-analyze does.
+  const std::set<std::string> Heavy = {"Super Chat", "Cloud Card", "Relatd",
+                                       "killrchat"};
+  unsigned Apps = 0;
+  for (const c4bench::BenchApp &App : c4bench::benchApps()) {
+    if (Heavy.count(App.Name))
+      continue;
+    ++Apps;
+    CompileResult C = compileC4L(App.Source);
+    ASSERT_TRUE(C.ok()) << App.Name;
+    CompiledProgram &P = *C.Program;
+    PassOptions PassOpts;
+    PassOpts.Lint = false;
+    ASSERT_TRUE(runPasses(P, PassOpts).Ok) << App.Name;
+    AnalyzerOptions O;
+    O.DisplayFilter = true;
+    O.UseAtomicSets = true;
+    O.AtomicSets = P.AtomicSets;
+    expectThreadCountInvariant(P, O, App.Name);
+  }
+  EXPECT_EQ(Apps, 24u);
 }
 
 TEST(ParallelDeterminism, ParallelRunWithoutOracleMatchesToo) {
@@ -208,6 +278,80 @@ TEST(ParallelDeterminism, ParallelRunWithoutOracleMatchesToo) {
   AnalysisResult RP = analyze(*P->History, Par);
   expectSameOutcome(RS, RP, File);
   ASSERT_FALSE(RS.Violations.empty());
+}
+
+namespace {
+
+/// A fake bounded-check unit outcome: the violation it would record.
+struct FakeOutcome {
+  std::vector<unsigned> Cycle; ///< empty = no cycle
+};
+
+} // namespace
+
+TEST(ParallelDeterminism, ProvisionalPruneIsSolvedAtCommit) {
+  // Units (key -> cycle found): 0: {1} -> {1}; 1: {1,2} -> {2};
+  // 2: {2,3} -> none; 3: {4} -> none. The first helper takes unit 0 and
+  // holds it until the second helper (which joins after the spin-up) has
+  // solved unit 1, finding cycle {2}, pruned unit 2 against that cycle
+  // and reached unit 3. The commit then finds unit 1 subsumed by {1} and
+  // drops its cycle, so unit 2 is not subsumed after all: it must be
+  // solved at commit time, after unit 3 — and the result must match the
+  // sequential one.
+  const std::vector<std::vector<unsigned>> Keys = {{1}, {1, 2}, {2, 3}, {4}};
+  const std::vector<std::vector<unsigned>> Cycles = {{1}, {2}, {}, {}};
+  SpecScheduler Sched(/*Threads=*/2, /*Dl=*/nullptr);
+  ASSERT_EQ(Sched.helpers(), 2u);
+  std::atomic<bool> ReachedUnit3{false};
+  std::mutex LogMu;
+  std::vector<size_t> SolveOrder;
+  std::vector<std::vector<unsigned>> Committed;
+  std::vector<size_t> CommitOrder;
+  SpecHooks<FakeOutcome> H;
+  H.Keys = &Keys;
+  H.CommittedSubsumes = [&](const std::vector<unsigned> &Key) {
+    for (const std::vector<unsigned> &V : Committed)
+      if (std::includes(Key.begin(), Key.end(), V.begin(), V.end()))
+        return true;
+    return false;
+  };
+  H.Solve = [&](size_t I, SpecGate &) -> std::optional<FakeOutcome> {
+    {
+      std::lock_guard<std::mutex> Lock(LogMu);
+      SolveOrder.push_back(I);
+    }
+    if (I == 3)
+      ReachedUnit3 = true;
+    if (I == 0) {
+      auto Until = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!ReachedUnit3 && std::chrono::steady_clock::now() < Until)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return FakeOutcome{Cycles[I]};
+  };
+  H.Found = [](const FakeOutcome &O) -> const std::vector<unsigned> * {
+    return O.Cycle.empty() ? nullptr : &O.Cycle;
+  };
+  H.Commit = [&](size_t I, FakeOutcome &&O) -> const std::vector<unsigned> * {
+    CommitOrder.push_back(I);
+    if (O.Cycle.empty())
+      return nullptr;
+    Committed.push_back(O.Cycle);
+    return &Committed.back();
+  };
+  Z3Env *Unused = nullptr;
+  SpecStats St =
+      Sched.run(Keys.size(), [&]() -> Z3Env & { return *Unused; }, H);
+
+  // The sequential result.
+  ASSERT_TRUE(St.Completed);
+  EXPECT_EQ(St.Subsumed, 1u);
+  EXPECT_EQ(Committed, (std::vector<std::vector<unsigned>>{{1}}));
+  EXPECT_EQ(CommitOrder, (std::vector<size_t>{0, 2, 3}));
+  // Unit 2 was pruned at claim time and solved once, at commit time;
+  // unit 1's speculative cycle was thrown away.
+  EXPECT_EQ(SolveOrder, (std::vector<size_t>{0, 1, 3, 2}));
+  EXPECT_EQ(St.Discarded, 1u);
 }
 
 #endif // C4_SOURCE_DIR

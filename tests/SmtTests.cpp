@@ -8,8 +8,8 @@
 /// Targeted tests of the SMT stage: solving single unfoldings directly,
 /// query-value determination (a query with a visible creator cannot return
 /// "absent"), transaction-completion semantics (no partial transactions in
-/// models), fresh-unique-value axioms, and counter-example extraction
-/// validity flags.
+/// models), fresh-unique-value axioms, counter-example extraction
+/// validity flags, and the reuse of a worker's env after an interrupt.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +18,10 @@
 #include "smt/Encoding.h"
 
 #include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <thread>
 
 using namespace c4;
 
@@ -196,4 +200,74 @@ TEST_F(SmtFixture, NoCandidatesMeansNoCycle) {
   UnfoldingResult R =
       solveUnfolding(Us[0], G, {}, AnalysisFeatures::all());
   EXPECT_EQ(R.Status, UnfoldingResult::NoCycle);
+}
+
+namespace {
+
+/// Pigeonhole: N + 1 pigeons in N holes. Unsatisfiable, and exponentially
+/// hard for resolution, so a check runs long enough to be interrupted.
+void addPigeonhole(Z3Env &Env, int N) {
+  z3::context &C = Env.ctx();
+  auto P = [&](int I, int J) {
+    return Env.boolConst("p" + std::to_string(I) + "_" + std::to_string(J));
+  };
+  for (int I = 0; I <= N; ++I) {
+    z3::expr_vector Holes(C);
+    for (int J = 0; J != N; ++J)
+      Holes.push_back(P(I, J));
+    Env.solver().add(z3::mk_or(Holes));
+  }
+  for (int J = 0; J != N; ++J)
+    for (int I = 0; I <= N; ++I)
+      for (int K = I + 1; K <= N; ++K)
+        Env.solver().add(!P(I, J) || !P(K, J));
+}
+
+z3::check_result checkOrUnknown(Z3Env &Env) {
+  try {
+    return Env.solver().check();
+  } catch (const z3::exception &) {
+    return z3::unknown;
+  }
+}
+
+} // namespace
+
+TEST(Z3EnvInterrupt, InterruptedEnvIsNeverReusedForTheNextQuery) {
+  // A worker solves on its slot's env; another thread interrupts it
+  // mid-check (the bounded-check scheduler does this when the unit turns
+  // subsumed). The env the worker gets next must answer sat and unsat on
+  // known queries, never a stale `unknown`.
+  Z3EnvSlot Slot;
+  Z3Env &Env = Slot.get();
+  Env.reset(/*Rlimit=*/0, /*WallMs=*/60000);
+  addPigeonhole(Env, 11);
+  std::atomic<bool> Started{false};
+  z3::check_result Result = z3::sat;
+  std::thread Worker([&] {
+    Started = true;
+    Result = checkOrUnknown(Env);
+  });
+  while (!Started)
+    std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  Env.interrupt();
+  Worker.join();
+  EXPECT_EQ(Result, z3::unknown);
+  EXPECT_TRUE(Env.interrupted());
+
+  Z3Env &Next = Slot.get();
+  EXPECT_FALSE(Next.interrupted());
+  for (int Round = 0; Round != 2; ++Round) {
+    Next.reset(/*Rlimit=*/0, /*WallMs=*/60000);
+    z3::expr X = Next.intConst("x");
+    Next.solver().add(X > 3);
+    EXPECT_EQ(checkOrUnknown(Next), z3::sat) << "round " << Round;
+    Next.reset(/*Rlimit=*/0, /*WallMs=*/60000);
+    z3::expr Y = Next.intConst("y");
+    Next.solver().add(Y > 3 && Y < 2);
+    EXPECT_EQ(checkOrUnknown(Next), z3::unsat) << "round " << Round;
+  }
+  // An env that was never interrupted is handed out again as is.
+  EXPECT_EQ(&Slot.get(), &Next);
 }

@@ -10,7 +10,7 @@
 /// and supervises N `c4-serve` worker processes, and routes every analysis
 /// request to a worker chosen by rendezvous hashing on the request's
 /// content (support/Rendezvous.h). Stickiness keeps each worker's verdict /
-/// incremental / constraint caches hot for its shard of the request space
+/// incremental caches hot for its shard of the request space
 /// and makes single-flight effective fleet-wide: identical concurrent
 /// requests land on one worker and collapse to one backend run.
 ///

@@ -34,8 +34,7 @@
 ///                            c4-analyze --cache-dir)
 ///     --incremental-cache <dir>
 ///                            like --cache-dir, plus the incremental
-///                            layers: per-unfolding NoCycle records and
-///                            the canonicalized constraint cache (same
+///                            layer of per-unfolding NoCycle records (same
 ///                            semantics as c4-analyze --incremental-cache)
 ///
 /// The socket modes run a single poll(2) event-loop thread (one fd per
@@ -168,6 +167,9 @@ struct ServerCounters {
   /// Snapshot-sharing ops served (sharded tier).
   std::atomic<uint64_t> SnapshotExports{0}, SnapshotImports{0};
   std::atomic<uint64_t> SnapshotFactsImported{0}; ///< new facts merged
+  /// Bounded-check units whose speculative work was cancelled or thrown
+  /// away, summed over backend runs (timing-dependent).
+  std::atomic<uint64_t> SpeculativeDiscarded{0};
 };
 
 /// Renders a request id for echoing. Only strings and integers are
@@ -251,13 +253,14 @@ std::string statsReply(const std::string &Id, AnalysisCache *Cache,
       "\"disk_corrupt\": %llu, \"disk_stores\": %llu, "
       "\"oracle_entries\": %zu, "
       "\"incremental_enabled\": %s, \"incremental_records\": %zu, "
-      "\"incremental_txns\": %zu, \"constraint_proofs\": %zu, "
+      "\"incremental_txns\": %zu, "
       "\"connections\": %llu, \"replies_dropped\": %llu, "
       "\"overload_rejects\": %llu, "
       "\"unix_accepts\": %llu, \"unix_closes\": %llu, "
       "\"tcp_accepts\": %llu, \"tcp_closes\": %llu, "
       "\"snapshot_exports\": %llu, \"snapshot_imports\": %llu, "
-      "\"snapshot_facts_imported\": %llu}",
+      "\"snapshot_facts_imported\": %llu, "
+      "\"speculative_discarded\": %llu}",
       Id.c_str(), Cache && Cache->enabled() ? "true" : "false",
       static_cast<unsigned long long>(Cache ? Cache->verdictHits() : 0),
       static_cast<unsigned long long>(Cache ? Cache->verdictMisses() : 0),
@@ -270,7 +273,6 @@ std::string statsReply(const std::string &Id, AnalysisCache *Cache,
       Cache ? Cache->oracleEntries() : size_t(0), Incr ? "true" : "false",
       Incr ? Cache->incrRecords() : size_t(0),
       Incr ? Cache->incrTxns() : size_t(0),
-      Incr ? Cache->greenProofs() : size_t(0),
       static_cast<unsigned long long>(SC.Connections.load()),
       static_cast<unsigned long long>(SC.DroppedReplies.load()),
       static_cast<unsigned long long>(SC.Overloads.load()),
@@ -280,7 +282,8 @@ std::string statsReply(const std::string &Id, AnalysisCache *Cache,
       static_cast<unsigned long long>(SC.TcpCloses.load()),
       static_cast<unsigned long long>(SC.SnapshotExports.load()),
       static_cast<unsigned long long>(SC.SnapshotImports.load()),
-      static_cast<unsigned long long>(SC.SnapshotFactsImported.load()));
+      static_cast<unsigned long long>(SC.SnapshotFactsImported.load()),
+      static_cast<unsigned long long>(SC.SpeculativeDiscarded.load()));
   return Buf;
 }
 
@@ -460,6 +463,8 @@ std::string handleRequest(const std::string &Line, AnalysisCache *Cache,
 
   PipelineResult PR =
       analyzeCached(*P.History, Options, *P.Registry, Cache);
+  if (!PR.CacheHit)
+    SC.SpeculativeDiscarded += PR.R.SpeculativeDiscarded;
 
   StatsJsonFields F;
   F.File = Label;
